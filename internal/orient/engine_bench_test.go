@@ -70,6 +70,13 @@ func BenchmarkOrientSeed100k(b *testing.B)    { benchSeed(b, 100_000) }
 func BenchmarkOrientSharded1M(b *testing.B)   { benchSharded(b, 1_000_000, 0) }
 func BenchmarkOrientSeed1M(b *testing.B)      { benchSeed(b, 1_000_000) }
 
+// BenchmarkOrientSharded200k is the perfbench orient-regular solve shape
+// (n = 2·10⁵, d = 4, 2 shards), so its profile can be taken without the
+// harness:
+//
+//	go test ./internal/orient -run '^$' -bench OrientSharded200k -benchtime 10x -cpuprofile cpu.out
+func BenchmarkOrientSharded200k(b *testing.B) { benchSharded(b, 200_000, 2) }
+
 // Multi-shard scaling of the 10⁶-vertex run; the outcome is shard-count
 // independent, only the wall clock changes (flat on a single hardware
 // thread, faster with real cores).

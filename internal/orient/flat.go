@@ -2,7 +2,7 @@ package orient
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
@@ -41,11 +41,14 @@ import (
 // exactly that: for any vertex x, edges (p, x) with p < x precede edges
 // (x, q) in the global order and are sorted by p, and the (x, q) edges
 // follow sorted by q — so x's ports run over its neighbors in ascending
-// order. With identical port numbering, levels, and tokens, the sharded
-// subgame run is bit-identical to the object-engine run (the internal/core
-// differential suite's guarantee), and therefore so are the phase log, the
-// round counts, and the final orientation — which the differential suite
-// in this package asserts on ~100 instances.
+// order. The lexicographic order itself is built once per solve by a
+// counting pass over the input CSR (buildEdgeIndex), with no comparison
+// sort and independent of the input's port order. With identical port
+// numbering, levels, and tokens, the sharded subgame run is bit-identical
+// to the object-engine run (the internal/core differential suite's
+// guarantee), and therefore so are the phase log, the round counts, and
+// the final orientation — which the differential suite in this package
+// asserts on ~100 instances.
 
 // ShardedOptions configure a SolveSharded run.
 type ShardedOptions struct {
@@ -195,32 +198,21 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		maxPhases = 4*delta + 8
 	}
 
-	// Per-edge endpoints (eu < ev, matching graph.Edge normalization), and
-	// the edge ids in lexicographic endpoint order — the insertion order
-	// that makes every phase-game CSR neighbor-sorted (see the file
-	// comment).
-	eu := make([]int32, m)
-	ev := make([]int32, m)
-	for v := 0; v < n; v++ {
-		lo, hi := c.ArcRange(v)
-		for i := lo; i < hi; i++ {
-			if w := c.Col[i]; int32(v) < w {
-				eu[c.EID[i]] = int32(v)
-				ev[c.EID[i]] = w
-			}
-		}
-	}
-	lex := make([]int32, m)
-	for id := range lex {
-		lex[id] = int32(id)
-	}
-	sort.Slice(lex, func(i, j int) bool {
-		a, b := lex[i], lex[j]
-		if eu[a] != eu[b] {
-			return eu[a] < eu[b]
-		}
-		return ev[a] < ev[b]
-	})
+	// The reusable execution layer: one engine session (persistent worker
+	// pool and message buffers) runs the set-up kernels and then plays
+	// every phase's subgame, one builder and CSR hold each phase's token
+	// graph, and one solver workspace keeps the flat program's state —
+	// all rebuilt in place per phase, so the steady-state phase loop
+	// performs no engine or program allocations.
+	sess := local.NewSession(opt.Shards)
+	defer sess.Close()
+	sws := core.NewSolverWorkspace()
+	builder := graph.NewCSRBuilder(n, 0)
+	var game graph.CSR
+	// gameLevel is per-phase scratch, rewritten before every read; the
+	// set-up borrows it for its lex bucket cursors.
+	gameLevel := make([]int32, n)
+	eu, ev, lex, incEID := buildEdgeIndex(c, sess, gameLevel)
 
 	head := make([]int32, m)
 	for id := range head {
@@ -240,36 +232,9 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		}
 	}
 
-	// Per-vertex incident edge ids in ascending id order. The central
-	// proposal/accept pass runs owner-computes on the kernel executor —
-	// each vertex derives its own accepted edge — and this index is what
-	// keeps that bit-identical to the edge-id-major loop it replaces: a
-	// vertex's accept decision (and, under TieRandom, its per-vertex
-	// draw stream) depends only on the subsequence of its own proposing
-	// edges in ascending id order, which is exactly the order the global
-	// id loop visited them in.
-	incPtr := make([]int32, n+1)
-	for id := 0; id < m; id++ {
-		incPtr[eu[id]+1]++
-		incPtr[ev[id]+1]++
-	}
-	for v := 0; v < n; v++ {
-		incPtr[v+1] += incPtr[v]
-	}
-	incEID := make([]int32, 2*m)
-	incCursor := make([]int32, n)
-	copy(incCursor, incPtr[:n])
-	for id := 0; id < m; id++ {
-		incEID[incCursor[eu[id]]] = int32(id)
-		incCursor[eu[id]]++
-		incEID[incCursor[ev[id]]] = int32(id)
-		incCursor[ev[id]]++
-	}
-
 	// Reused per-phase scratch.
 	acceptEdge := make([]int32, n) // vertex -> accepted proposing edge, -1
 	token := make([]bool, n)
-	gameLevel := make([]int32, n)
 	tokOrigin := make([]int32, n) // traversal replay: vertex -> token origin
 	for v := range tokOrigin {
 		tokOrigin[v] = int32(v)
@@ -280,18 +245,6 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	}
 	gameToOrig := make([]int32, 0, m)
 	include := make([]byte, m) // game-assembly marks, indexed by lex position
-
-	// The reusable execution layer: one engine session (persistent worker
-	// pool and message buffers) plays every phase's subgame, one builder
-	// and CSR hold each phase's token graph, and one solver workspace
-	// keeps the flat program's state — all rebuilt in place per phase, so
-	// the steady-state phase loop performs no engine or program
-	// allocations.
-	sess := local.NewSession(opt.Shards)
-	defer sess.Close()
-	sws := core.NewSolverWorkspace()
-	builder := graph.NewCSRBuilder(n, 0)
-	var game graph.CSR
 
 	// The central per-phase passes run as flat kernels on the session's
 	// parked workers (Session.ParallelFor), with per-shard partial
@@ -317,7 +270,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 			if opt.Tie == core.TieRandom {
 				state := rngs[v]
 				count := 0
-				for j := incPtr[v]; j < incPtr[v+1]; j++ {
+				for j := c.Row[v]; j < c.Row[v+1]; j++ {
 					id := incEID[j]
 					if head[id] >= 0 {
 						continue
@@ -338,7 +291,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 				}
 				rngs[v] = state
 			} else {
-				for j := incPtr[v]; j < incPtr[v+1]; j++ {
+				for j := c.Row[v]; j < c.Row[v+1]; j++ {
 					id := incEID[j]
 					if head[id] >= 0 {
 						continue
@@ -423,7 +376,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	oriented := 0
 	startPhase := 1
 	if rs := opt.ResumeFrom; rs != nil {
-		cursor, err := restoreSnapshot(rs, n, m, opt.Tie, head, load, rngs)
+		cursor, err := restoreSnapshot(rs, n, m, opt.Tie, eu, ev, head, load, rngs)
 		if err != nil {
 			return nil, err
 		}
@@ -562,6 +515,68 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// buildEdgeIndex derives the per-solve edge indexes of c, with its
+// per-vertex passes on sess's kernels:
+//
+//   - eu, ev: the endpoints of every edge, eu < ev (graph.Edge
+//     normalization), written by the smaller endpoint;
+//   - lex: the edge ids in lexicographic (eu, ev) order — the insertion
+//     order that makes every phase-game CSR neighbor-sorted (see the file
+//     comment). It is an O(n + m) counting pass, not a sort: bucket u's
+//     size is the number of u's neighbors above u, and visiting every arc
+//     w → u with u < w in ascending w fills each bucket in ascending ev
+//     order. Edges are unique, so this is exactly the lexicographic order;
+//   - incEID: every vertex's incident edge ids in ascending id order, over
+//     the arc ranges of c.Row. The owner-computes proposal/accept kernel
+//     scans it, and the ascending order is what keeps that bit-identical
+//     to an edge-id-major loop: a vertex's accept decision (and, under
+//     TieRandom, its per-vertex draw stream) depends only on the
+//     subsequence of its own proposing edges in ascending id order. Each
+//     range is sorted on its own, O(m log Δ) in all, so hubs never go
+//     quadratic.
+//
+// None of the three depends on c's port order. bucket (length n, any
+// contents) is overwritten with the bucket cursors, so the set-up leaves
+// no array of its own behind.
+func buildEdgeIndex(c *graph.CSR, sess *local.Session, bucket []int32) (eu, ev, lex, incEID []int32) {
+	n, m := c.N(), c.M()
+	eu = make([]int32, m)
+	ev = make([]int32, m)
+	incEID = make([]int32, 2*m)
+	sess.ParallelFor(n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			a, b := c.Row[v], c.Row[v+1]
+			up := int32(0)
+			for i := a; i < b; i++ {
+				if w := c.Col[i]; int32(v) < w {
+					eu[c.EID[i]] = int32(v)
+					ev[c.EID[i]] = w
+					up++
+				}
+			}
+			bucket[v] = up
+			ids := incEID[a:b]
+			copy(ids, c.EID[a:b])
+			slices.Sort(ids)
+		}
+	})
+	sum := int32(0)
+	for u := 0; u < n; u++ {
+		bucket[u], sum = sum, sum+bucket[u]
+	}
+	// bucket[u] is now the fill cursor of u's lex bucket.
+	lex = make([]int32, m)
+	for w := 0; w < n; w++ {
+		for i := c.Row[w]; i < c.Row[w+1]; i++ {
+			if u := c.Col[i]; u < int32(w) {
+				lex[bucket[u]] = c.EID[i]
+				bucket[u]++
+			}
+		}
+	}
+	return eu, ev, lex, incEID
 }
 
 // solutionPotentialFlat returns Σ level over a flat subgame's final token

@@ -54,9 +54,13 @@ func captureSnapshot(snap *Snapshot, phase, oriented, rounds int, head, load []i
 	snap.PhaseLog = append(snap.PhaseLog[:0], log...)
 }
 
-// restoreSnapshot validates rs against the solve's shape and installs its
-// state into the phase-loop arrays. It returns the phase cursor.
-func restoreSnapshot(rs *Snapshot, n, m int, tie core.TieBreak, head, load []int32, rngs []uint64) (int, error) {
+// restoreSnapshot validates rs against the solve's shape and graph and
+// installs its state into the phase-loop arrays (load must be all zero on
+// entry). Every head must be an endpoint of its edge (eu/ev), and every
+// load must equal the indegree the heads encode, so a resumed run starts
+// from a state some uninterrupted run could have reached. It returns the
+// phase cursor.
+func restoreSnapshot(rs *Snapshot, n, m int, tie core.TieBreak, eu, ev, head, load []int32, rngs []uint64) (int, error) {
 	if len(rs.Head) != m || len(rs.Load) != n {
 		return 0, fmt.Errorf("orient: resume snapshot shaped %d edges / %d vertices, graph has %d / %d",
 			len(rs.Head), len(rs.Load), m, n)
@@ -73,18 +77,24 @@ func restoreSnapshot(rs *Snapshot, n, m int, tie core.TieBreak, head, load []int
 	}
 	oriented := 0
 	for id, h := range rs.Head {
-		if h >= 0 {
-			if int(h) >= n {
-				return 0, fmt.Errorf("orient: resume snapshot orients edge %d toward vertex %d (out of range)", id, h)
-			}
-			oriented++
+		if h == -1 {
+			continue
 		}
+		if h != eu[id] && h != ev[id] {
+			return 0, fmt.Errorf("orient: resume snapshot orients edge %d={%d,%d} toward vertex %d", id, eu[id], ev[id], h)
+		}
+		load[h]++
+		oriented++
 	}
 	if oriented != rs.Oriented {
 		return 0, fmt.Errorf("orient: resume snapshot claims %d oriented edges, heads encode %d", rs.Oriented, oriented)
 	}
+	for v, l := range rs.Load {
+		if l != load[v] {
+			return 0, fmt.Errorf("orient: resume snapshot gives vertex %d load %d, its heads encode %d", v, l, load[v])
+		}
+	}
 	copy(head, rs.Head)
-	copy(load, rs.Load)
 	if tie == core.TieRandom {
 		copy(rngs, rs.Rngs)
 	}

@@ -3,6 +3,7 @@ package orient
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tokendrop/internal/core"
@@ -101,7 +102,9 @@ func TestOrientResumeEquivalence(t *testing.T) {
 }
 
 // TestOrientResumeRejectsBadSnapshots checks restore validation: shape
-// mismatches, inconsistent counters, and tie-rule mismatches fail loudly.
+// mismatches, inconsistent counters, heads that are not an endpoint of
+// their edge, loads that contradict the head recount, and tie-rule
+// mismatches fail loudly.
 func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := graph.CSRRandomRegular(40, 4, rng)
@@ -130,6 +133,11 @@ func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 		{"oriented count drift", func(s *Snapshot) { s.Oriented++ }},
 		{"head out of range", func(s *Snapshot) { s.Head[0] = int32(c.N()) }},
 		{"stray rng streams", func(s *Snapshot) { s.Rngs = make([]uint64, c.N()) }},
+		{"head not an endpoint", func(s *Snapshot) {
+			id := slices.IndexFunc(s.Head, func(h int32) bool { return h >= 0 })
+			s.Head[id] = nonEndpoint(c, id)
+		}},
+		{"zeroed loads", func(s *Snapshot) { clear(s.Load) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,6 +157,25 @@ func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 			}
 		})
 	}
+}
+
+// nonEndpoint returns the smallest vertex of c that is not an endpoint
+// of edge id.
+func nonEndpoint(c *graph.CSR, id int) int32 {
+	var ends []int32
+	for v := 0; v < c.N(); v++ {
+		lo, hi := c.ArcRange(v)
+		for i := lo; i < hi; i++ {
+			if int(c.EID[i]) == id {
+				ends = append(ends, int32(v))
+			}
+		}
+	}
+	x := int32(0)
+	for slices.Contains(ends, x) {
+		x++
+	}
+	return x
 }
 
 // TestOrientSnapshotBufferReuse checks the caller-owned buffer
